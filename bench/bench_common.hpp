@@ -1,7 +1,5 @@
 // Shared machinery for the per-figure bench binaries: environment-
-// controlled run parameters, a memoizing mix runner (baseline + each
-// mechanism), and the normalized-metric helpers the paper's figures
-// report.
+// controlled run parameters, the run preamble and the batch summary.
 //
 // Environment knobs (all optional):
 //   CMM_BENCH_SCALE   LLC capacity divisor for the simulated machine
@@ -14,7 +12,6 @@
 //                     bit-identical at any thread count.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,65 +33,11 @@ struct BenchEnv {
   std::vector<workloads::WorkloadMix> workloads() const;
 };
 
-/// Memoizing runner: each (mix, policy) pair is simulated once per
-/// process; the baseline run and alone-IPC table are shared across
-/// figures within one binary. warm() fans the simulations across
-/// worker threads; the metric getters then never simulate.
-class MixEvaluator {
- public:
-  explicit MixEvaluator(BenchEnv env);
-
-  /// Precompute every (mix, policy) run — plus the "baseline" runs and
-  /// the alone-IPC solos the normalized metrics need — as one parallel
-  /// batch. Idempotent: already-cached pairs are skipped. Returns the
-  /// batch accounting (also kept, see batch_stats()).
-  const analysis::BatchStats& warm(const std::vector<workloads::WorkloadMix>& mixes,
-                                   std::vector<std::string> policies);
-
-  /// Accounting of the most recent warm() batch.
-  const analysis::BatchStats& batch_stats() const noexcept { return batch_; }
-
-  const analysis::RunResult& run(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  double alone_ipc(const std::string& benchmark);
-
-  /// HS(policy) / HS(baseline) for one mix.
-  double normalized_hs(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  /// Normalized weighted speedup over the baseline run.
-  double normalized_ws(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  /// Worst per-application speedup vs baseline.
-  double worst_case(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  /// Total DRAM bandwidth relative to baseline.
-  double normalized_bw(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  /// Sum of per-core STALLS_L2_PENDING relative to baseline.
-  double normalized_stalls(const workloads::WorkloadMix& mix, const std::string& policy);
-
-  const BenchEnv& env() const noexcept { return env_; }
-
- private:
-  double hs(const analysis::RunResult& result);
-
-  BenchEnv env_;
-  analysis::BatchStats batch_{};
-  std::map<std::string, analysis::RunResult> cache_;
-  std::map<std::string, double> alone_;
-};
-
 /// Print the standard figure preamble (machine + parameters).
 void print_preamble(const BenchEnv& env, const std::string& figure, const std::string& what);
 
 /// Print the one-line JSON batch summary (jobs, threads, cache traffic,
 /// wall time, speedup) that the BENCH_*.json capture parses.
 void print_batch_summary(const analysis::BatchStats& stats);
-
-/// Mean of a metric over the mixes of one category.
-double category_mean(MixEvaluator& eval, const std::vector<workloads::WorkloadMix>& mixes,
-                     workloads::MixCategory category, const std::string& policy,
-                     double (MixEvaluator::*metric)(const workloads::WorkloadMix&,
-                                                    const std::string&));
 
 }  // namespace cmm::bench

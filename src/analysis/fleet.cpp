@@ -181,13 +181,8 @@ FleetResult run_fleet_flat(const FleetConfig& cfg,
           }
         }
 
-        const auto& exec = driver.execution_counters();
-        for (CoreId c = 0; c < exec.size(); ++c) {
-          shard.result.cores.push_back(
-              make_core_stats(running[c], exec[c], params.machine.freq_ghz));
-          shard.result.measured_cycles =
-              std::max<Cycle>(shard.result.measured_cycles, exec[c].cycles);
-        }
+        shard.result =
+            make_run_result(running, driver.execution_counters(), params.machine.freq_ghz);
         shard.hm_ipc = harmonic_mean(shard.result.ipcs());
         shard.epochs_completed = driver.epoch_index();
       },
@@ -338,12 +333,8 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
   // semantics, with the migration tally on top).
   for (std::size_t d = 0; d < nd; ++d) {
     DomainShardResult& shard = fleet.domains[d];
-    const auto& exec = shards[d].driver->execution_counters();
-    for (CoreId c = 0; c < exec.size(); ++c) {
-      shard.result.cores.push_back(
-          make_core_stats(shards[d].running[c], exec[c], shards[d].params.machine.freq_ghz));
-      shard.result.measured_cycles = std::max<Cycle>(shard.result.measured_cycles, exec[c].cycles);
-    }
+    shard.result = make_run_result(shards[d].running, shards[d].driver->execution_counters(),
+                                   shards[d].params.machine.freq_ghz);
     shard.hm_ipc = harmonic_mean(shard.result.ipcs());
     shard.epochs_completed = shards[d].driver->epoch_index();
 

@@ -42,6 +42,16 @@ CoreRunStats make_core_stats(const std::string& benchmark, const sim::PmuCounter
   return s;
 }
 
+RunResult make_run_result(const std::vector<std::string>& benchmarks,
+                          const std::vector<sim::PmuCounters>& exec, double freq_ghz) {
+  RunResult result;
+  for (CoreId c = 0; c < exec.size(); ++c) {
+    result.cores.push_back(make_core_stats(benchmarks[c], exec[c], freq_ghz));
+    result.measured_cycles = std::max<Cycle>(result.measured_cycles, exec[c].cycles);
+  }
+  return result;
+}
+
 std::vector<double> RunResult::ipcs() const {
   std::vector<double> v;
   v.reserve(cores.size());
@@ -98,14 +108,7 @@ RunResult run_mix(const workloads::WorkloadMix& mix, core::Policy& policy,
 
   core::EpochDriver driver(system, policy, params.epochs);
   driver.run(params.run_cycles);
-
-  RunResult result;
-  const auto& exec = driver.execution_counters();
-  for (CoreId c = 0; c < exec.size(); ++c) {
-    result.cores.push_back(make_core_stats(mix.benchmarks[c], exec[c], params.machine.freq_ghz));
-    result.measured_cycles = std::max<Cycle>(result.measured_cycles, exec[c].cycles);
-  }
-  return result;
+  return make_run_result(mix.benchmarks, driver.execution_counters(), params.machine.freq_ghz);
 }
 
 FaultRunOutcome run_mix_with_faults(const workloads::WorkloadMix& mix, core::Policy& policy,
@@ -142,10 +145,7 @@ FaultRunOutcome run_mix_with_faults(const workloads::WorkloadMix& mix, core::Pol
   out.mba_available = driver.mba_available();
 
   const auto& exec = driver.execution_counters();
-  for (CoreId c = 0; c < exec.size(); ++c) {
-    out.result.cores.push_back(make_core_stats(mix.benchmarks[c], exec[c], params.machine.freq_ghz));
-    out.result.measured_cycles = std::max<Cycle>(out.result.measured_cycles, exec[c].cycles);
-  }
+  out.result = make_run_result(mix.benchmarks, exec, params.machine.freq_ghz);
   // hm_ipc contract (see core::hm_ipc): a core with zero measured IPC
   // pins the harmonic mean at 0. That is right for a stalled core, but
   // a core that never executed a measured cycle (offline before the

@@ -65,6 +65,13 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
+/// Result of an EpochDriver run (the mix, fault and fleet harnesses):
+/// one CoreRunStats per core of `exec` (the driver's execution-epoch
+/// counters) under the tenant `benchmarks[core]`, and the longest
+/// measured span.
+RunResult make_run_result(const std::vector<std::string>& benchmarks,
+                          const std::vector<sim::PmuCounters>& exec, double freq_ghz);
+
 /// Run one benchmark alone on a single-core machine derived from
 /// `params.machine` (same caches/latencies/bandwidth). `ways` limits
 /// the LLC allocation mask (0 = all ways). `prefetch_on` gates all four

@@ -37,22 +37,6 @@ EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, const Epo
 }
 
 EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
-                         hw::PmuReader& pmu, hw::CatController& cat, const EpochConfig& cfg)
-    : system_(system),
-      policy_(policy),
-      cfg_(cfg),
-      owned_mba_(std::make_unique<hw::SimMbaController>(system)),
-      msr_(&msr),
-      cat_(&cat),
-      pmu_(&pmu),
-      mba_(owned_mba_.get()),
-      retry_(logging_retry(cfg.retry)),
-      prefetch_(*msr_, retry_),
-      probe_prefetch_(*msr_, RetryPolicy{.max_attempts = 1}) {
-  init();
-}
-
-EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
                          hw::PmuReader& pmu, hw::CatController& cat, hw::MbaController& mba,
                          const EpochConfig& cfg)
     : system_(system),
@@ -477,20 +461,7 @@ void EpochDriver::run(Cycle total_cycles) {
     log_.push_back({EpochLogEntry::Kind::Execution, system_.now(), exec_len, current_});
     const SpanDelta epoch = run_span(exec_len);
     tctx_.now = system_.now();
-    for (CoreId c = 0; c < epoch.per_core.size(); ++c) {
-      auto& acc = exec_accum_[c];
-      const auto& d = epoch.per_core[c];
-      acc.cycles += d.cycles;
-      acc.instructions += d.instructions;
-      acc.l2_pref_req += d.l2_pref_req;
-      acc.l2_pref_miss += d.l2_pref_miss;
-      acc.l2_dm_req += d.l2_dm_req;
-      acc.l2_dm_miss += d.l2_dm_miss;
-      acc.l3_load_miss += d.l3_load_miss;
-      acc.stalls_l2_pending += d.stalls_l2_pending;
-      acc.dram_demand_bytes += d.dram_demand_bytes;
-      acc.dram_prefetch_bytes += d.dram_prefetch_bytes;
-    }
+    for (CoreId c = 0; c < epoch.per_core.size(); ++c) exec_accum_[c] += epoch.per_core[c];
     if (system_.now() >= end) break;
 
     // ---- Profiling epoch ----

@@ -136,7 +136,7 @@ struct SloBreach {
 struct RecoveryProbe {
   Cycle time = 0;
   std::uint64_t epoch = 0;
-  std::string_view axis;  // "prefetch" | "cat"
+  std::string_view axis;  // "prefetch" | "cat" | "mba"
   CoreId core = kInvalidCore;
   bool ok = false;
 };

@@ -22,6 +22,21 @@ PmuCounters PmuCounters::delta_since(const PmuCounters& earlier) const noexcept 
   return d;
 }
 
+PmuCounters& PmuCounters::operator+=(const PmuCounters& d) noexcept {
+  cycles += d.cycles;
+  instructions += d.instructions;
+  l2_pref_req += d.l2_pref_req;
+  l2_pref_miss += d.l2_pref_miss;
+  l2_dm_req += d.l2_dm_req;
+  l2_dm_miss += d.l2_dm_miss;
+  l3_load_miss += d.l3_load_miss;
+  stalls_l2_pending += d.stalls_l2_pending;
+  dram_demand_bytes += d.dram_demand_bytes;
+  dram_prefetch_bytes += d.dram_prefetch_bytes;
+  dram_writeback_bytes += d.dram_writeback_bytes;
+  return *this;
+}
+
 void Pmu::reset() {
   for (auto& c : counters_) c.reset();
 }

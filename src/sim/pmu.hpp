@@ -42,11 +42,19 @@ struct PmuCounters {
   /// Element-wise delta (this - earlier). Counters are monotonic.
   PmuCounters delta_since(const PmuCounters& earlier) const noexcept;
 
+  /// Element-wise sum (accumulating span deltas).
+  PmuCounters& operator+=(const PmuCounters& d) noexcept;
+
   /// Bit-exact comparison — the determinism tests' currency.
   bool operator==(const PmuCounters&) const = default;
 
   void reset() { *this = PmuCounters{}; }
 };
+
+// A new counter must be added to operator+=, delta_since, hw::pmu_delta
+// and the fault injector's field list; this trips until they are revisited.
+static_assert(sizeof(PmuCounters) == 11 * sizeof(std::uint64_t),
+              "PmuCounters changed: update every per-field site listed above");
 
 class Pmu {
  public:

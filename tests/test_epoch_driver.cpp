@@ -175,6 +175,27 @@ TEST(EpochDriver, ExecutionCountersExcludeSampling) {
   }
 }
 
+TEST(EpochDriver, ExecutionCountersKeepWritebacks) {
+  // Regression: the execution-epoch sum skipped dram_writeback_bytes, so
+  // with writebacks modelled every consumer of it read zero.
+  sim::MachineConfig m = cfg();
+  m.model_writebacks = true;
+  sim::MulticoreSystem sys(m);
+  workloads::attach_mix(
+      sys, workloads::make_mixes(workloads::MixCategory::PrefAgg, 1, m.num_cores, 3).front(), 42);
+  BaselinePolicy policy;  // never samples: every cycle is execution time
+  EpochDriver driver(sys, policy, epochs());
+  driver.run(1'000'000);
+
+  std::uint64_t writebacks = 0;
+  for (CoreId c = 0; c < sys.num_cores(); ++c) {
+    EXPECT_EQ(driver.execution_counters()[c], sys.pmu().core(c)) << "core " << c;
+    writebacks += driver.execution_counters()[c].dram_writeback_bytes;
+  }
+  EXPECT_GT(writebacks, 0u);
+  EXPECT_EQ(driver.domain_summary().exec_counters, driver.execution_counters());
+}
+
 TEST(EpochDriver, BaselinePolicyRunsFlat) {
   auto sys_ptr = make_system();
   auto& sys = *sys_ptr;
