@@ -12,9 +12,17 @@
 //    (churn_seed, domain) — repeat runs are identical.
 //  - Placement: deterministic, full domains, bandwidth-greedy when
 //    asked.
+//  - Golden pin: every counter a run reports, for each runner mode
+//    (steady, churning, coordinated), matches tests/golden/
+//    fleet_runner.json across commits. Regenerate after an intentional
+//    change with:
+//      CMM_UPDATE_GOLDEN=1 ./test_fleet --gtest_filter=FleetGolden.*
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -234,6 +242,104 @@ TEST(FleetValidation, RejectsMalformedInput) {
   EXPECT_THROW(
       plan_placement(tenant_pool(3), PlacementMode::RoundRobin, cfg.params),
       std::invalid_argument);
+}
+
+/// Canonical text of one fleet run: per domain its churn swaps,
+/// completed epochs and every PmuCounters field of every core, then
+/// each coordinator ruling and the merged metrics registry.
+std::string fleet_json(const FleetResult& r) {
+  std::ostringstream os;
+  os << "{\"domains\": [\n";
+  for (std::size_t d = 0; d < r.domains.size(); ++d) {
+    const DomainShardResult& shard = r.domains[d];
+    os << "      {\"churn_swaps\": " << shard.churn_swaps
+       << ", \"epochs\": " << shard.epochs_completed << ", \"cores\": [\n";
+    for (std::size_t c = 0; c < shard.result.cores.size(); ++c) {
+      const CoreRunStats& core = shard.result.cores[c];
+      const sim::PmuCounters& k = core.counters;
+      os << "        {\"benchmark\": \"" << core.benchmark << "\", \"cycles\": " << k.cycles
+         << ", \"instructions\": " << k.instructions << ", \"l2_pref_req\": " << k.l2_pref_req
+         << ", \"l2_pref_miss\": " << k.l2_pref_miss << ", \"l2_dm_req\": " << k.l2_dm_req
+         << ", \"l2_dm_miss\": " << k.l2_dm_miss << ", \"l3_load_miss\": " << k.l3_load_miss
+         << ", \"stalls_l2_pending\": " << k.stalls_l2_pending
+         << ", \"dram_demand_bytes\": " << k.dram_demand_bytes
+         << ", \"dram_prefetch_bytes\": " << k.dram_prefetch_bytes
+         << ", \"dram_writeback_bytes\": " << k.dram_writeback_bytes << '}'
+         << (c + 1 < shard.result.cores.size() ? "," : "") << '\n';
+    }
+    os << "      ]}" << (d + 1 < r.domains.size() ? "," : "") << '\n';
+  }
+  os << "    ],\n    \"migrations\": [";
+  for (std::size_t i = 0; i < r.migrations.size(); ++i) {
+    const MigrationRecord& m = r.migrations[i];
+    os << (i == 0 ? "" : ", ") << "{\"from\": " << m.from_core << ", \"to\": " << m.to_core
+       << ", \"accepted\": " << (m.accepted ? "true" : "false") << '}';
+  }
+  os << "],\n    \"metrics\": " << r.metrics.json() << "}";
+  return std::move(os).str();
+}
+
+// Pins the runner's output across commits (the tests above compare
+// two runs of one build): K = 0 steady and churning, K = 2 churning
+// with a partial final round (600 k cycles in 130 k slices, rounds of
+// 260 k), and K = 1 on a placement that packs every bandwidth-heavy
+// tenant onto domain 0, so the coordinator accepts migrations. The
+// churn slices are longer than an execution epoch, so epochs complete.
+TEST(FleetGolden, RunnerModes) {
+  struct Mode {
+    const char* name;
+    FleetConfig cfg;
+    std::vector<workloads::WorkloadMix> mixes;
+  };
+  std::vector<Mode> modes(4);
+  for (Mode& mode : modes) {
+    mode.cfg.params = fleet_params(2);
+    mode.mixes = plan_placement(tenant_pool(8), PlacementMode::RoundRobin, mode.cfg.params);
+  }
+  modes[0].name = "k0_steady";
+  modes[1].name = "k0_churn";
+  modes[1].cfg.params.run_cycles = 600'000;
+  modes[1].cfg.churn_slice = 150'000;
+  modes[1].cfg.churn_per_mille = 600;
+  modes[1].cfg.churn_catalog = {"povray", "mcf", "libquantum"};
+  modes[2].name = "k2_churn_partial_round";
+  modes[2].cfg.params.run_cycles = 600'000;
+  modes[2].cfg.churn_slice = 130'000;
+  modes[2].cfg.churn_per_mille = 500;
+  modes[2].cfg.churn_catalog = {"mcf", "soplex"};
+  modes[2].cfg.coordinator_period = 2;
+  modes[3].name = "k1_pathological";
+  modes[3].cfg.params.run_cycles = 600'000;
+  modes[3].cfg.coordinator_period = 1;
+  modes[3].mixes[0].benchmarks = {"lbm", "libquantum", "milc", "bwaves"};
+  modes[3].mixes[1].benchmarks = {"povray", "calculix", "gobmk", "namd"};
+
+  std::string actual = "{\n  \"fleet_runner\": {\n";
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    const FleetResult r = run_fleet(modes[i].cfg, modes[i].mixes);
+    if (modes[i].cfg.coordinator_period == 1) {
+      EXPECT_GE(r.accepted_migrations(), 1u);
+    }
+    actual += "    \"" + std::string(modes[i].name) + "\": " + fleet_json(r) +
+              (i + 1 < modes.size() ? ",\n" : "\n");
+  }
+  actual += "  }\n}\n";
+
+  const std::string golden_path = std::string(CMM_TEST_GOLDEN_DIR) + "/fleet_runner.json";
+  if (std::getenv("CMM_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << actual;
+    GTEST_SKIP() << "golden regenerated at " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << " (regenerate with CMM_UPDATE_GOLDEN=1)";
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str())
+      << "fleet runner output drifted from the golden pin; if the change is intentional, "
+         "regenerate with CMM_UPDATE_GOLDEN=1 and review the diff";
 }
 
 }  // namespace
