@@ -1,12 +1,13 @@
 // Sharded fleet runner: many-core experiments over multi-LLC-domain
-// machines (MachineConfig::num_llc_domains > 1), one EpochDriver shard
-// per domain on the PR-1 thread pool, under a two-level control
-// hierarchy: the per-domain drivers are level one, and a
-// FleetCoordinator (fleet_coordinator.hpp) running every
+// machines (MachineConfig::num_llc_domains > 1), one persistent
+// EpochDriver shard per domain on the PR-1 thread pool, under a
+// two-level control hierarchy: the per-domain drivers are level one,
+// and a FleetCoordinator (fleet_coordinator.hpp) running every
 // coordinator_period slices is level two, planning cross-domain tenant
-// migrations from per-domain telemetry. With the coordinator disabled
-// (coordinator_period == 0, the default) the runner is the flat PR-8
-// slice driver: plan once, shard, merge — byte-identical output.
+// migrations from per-domain telemetry. Each thread-pool batch advances
+// every shard to the next coordinator round; with the coordinator
+// disabled (coordinator_period == 0, the default) the whole run is one
+// batch.
 //
 // Determinism argument (see DESIGN.md, "Sharded multi-LLC fleet" and
 // "Hierarchical CMM"): domains share nothing — each owns a private
@@ -63,14 +64,14 @@ struct FleetConfig {
   /// Empty disables swaps even when churn_slice > 0.
   std::vector<std::string> churn_catalog;
 
-  // ---- Hierarchical coordinator (0 = disabled: run_fleet is the
-  // flat PR-8 slice driver, byte-identical output) ----
+  // ---- Hierarchical coordinator (0 = disabled) ----
 
   /// Run the FleetCoordinator every K slices. A slice is churn_slice
-  /// cycles when churn is on, otherwise one execution epoch plus eight
-  /// sampling intervals (the service-tick default). With K > 0 the run
-  /// is driven slice-by-slice under a barrier so the coordinator can
-  /// migrate tenants across domains between slices.
+  /// cycles when set, otherwise one execution epoch plus eight sampling
+  /// intervals (the service-tick default). With K > 0 the shards run K
+  /// slices per batch, and the coordinator migrates tenants across
+  /// domains between batches. With K = 0 the run is one batch, and one
+  /// slice unless churning.
   unsigned coordinator_period = 0;
   /// Accepted migrations per coordinator round.
   unsigned migration_budget = 1;
