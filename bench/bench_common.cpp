@@ -7,15 +7,16 @@
 
 namespace cmm::bench {
 
-namespace {
-
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
 }
 
-}  // namespace
+bool gate(bool ok, const std::string& what) {
+  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
+  return ok;
+}
 
 BenchEnv BenchEnv::from_env() {
   BenchEnv env;

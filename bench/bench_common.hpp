@@ -12,6 +12,7 @@
 //                     bit-identical at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,5 +40,12 @@ void print_preamble(const BenchEnv& env, const std::string& figure, const std::s
 /// Print the one-line JSON batch summary (jobs, threads, cache traffic,
 /// wall time, speedup) that the BENCH_*.json capture parses.
 void print_batch_summary(const analysis::BatchStats& stats);
+
+/// Unsigned integer environment knob; unset or empty yields `fallback`.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback);
+
+/// Print one "PASS"/"FAIL" gate line and return `ok`, so a bench can
+/// fold its gates into its exit status.
+bool gate(bool ok, const std::string& what);
 
 }  // namespace cmm::bench

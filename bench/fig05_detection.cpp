@@ -2,6 +2,10 @@
 // filter -> L2 PTR gate). The paper's figure is a flow diagram; this
 // bench traces each stage's decision for every core of one workload
 // per category.
+//
+// Table I: the seven PMU-derived metrics (M-1..M-7) the CMM front-end
+// works from, per core of the Pref Agg workload over the same
+// profiling sample the detector trace reads.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,6 +20,8 @@ int main() {
   bench::print_preamble(env, "Fig 5", "Agg-set detection trace per workload category");
 
   const core::DetectorConfig det = env.params.detector();
+  analysis::Table table1({"core", "benchmark", "M-1 l2->llc", "M-2 pref_frac", "M-3 PTR(M/s)",
+                          "M-4 PGA", "M-5 PMR", "M-6 PPM", "M-7 LLC_PT(GB/s)", "ipc"});
   for (const auto category :
        {workloads::MixCategory::PrefFri, workloads::MixCategory::PrefAgg,
         workloads::MixCategory::PrefUnfri, workloads::MixCategory::PrefNoAgg}) {
@@ -25,7 +31,7 @@ int main() {
 
     sim::MulticoreSystem system(env.params.machine);
     workloads::attach_mix(system, mix, env.params.seed);
-    system.run(2'000'000);
+    system.run(2'000'000);  // warm, all prefetchers on (baseline state)
     const auto before = system.pmu().snapshot();
     system.run(200'000);
     const auto metrics = core::compute_all_metrics(
@@ -71,6 +77,20 @@ int main() {
                 << ',' << p3 << "],\"agg\":" << in_agg << '}';
     }
     std::cout << "]}}\n";
+
+    if (category != workloads::MixCategory::PrefAgg) continue;
+    for (CoreId c = 0; c < metrics.size(); ++c) {
+      const auto& m = metrics[c];
+      table1.add_row({std::to_string(c), mix.benchmarks[c],
+                      analysis::Table::fmt(m.l2_llc_traffic, 0),
+                      analysis::Table::fmt(m.l2_pref_miss_frac),
+                      analysis::Table::fmt(m.l2_ptr / 1e6, 1), analysis::Table::fmt(m.pga, 2),
+                      analysis::Table::fmt(m.l2_pmr, 2), analysis::Table::fmt(m.l2_ppm, 2),
+                      analysis::Table::fmt(m.llc_pt / 1e9, 2), analysis::Table::fmt(m.ipc, 3)});
+    }
   }
+
+  std::cout << "\n== Table I: per-core metric values on a Pref Agg workload ==\n\n";
+  table1.print(std::cout);
   return 0;
 }

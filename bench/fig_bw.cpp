@@ -37,11 +37,6 @@ namespace {
 using cmm::analysis::RunResult;
 using cmm::workloads::WorkloadMix;
 
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
 /// Hog-heavy 8-core mixes: streaming benchmarks that saturate the DRAM
 /// window plus a couple of latency-bound victims that suffer from the
 /// queue delay the hogs induce.
@@ -128,9 +123,10 @@ int main() {
   for (std::size_t i = 0; i < mixes.size(); ++i) {
     const MixOut& o = par[i];
     const MixOut& s = ser[i];
-    ok &= gate(o.cmm == s.cmm && o.bp == s.bp && o.bp_off == s.bp_off && o.levels == s.levels,
-               mixes[i].name + " deterministic vs CMM_THREADS=1 re-run");
-    ok &= gate(o.bp_off == o.cmm, mixes[i].name + " BP-neutered run bit-identical to cmm_a");
+    ok &= bench::gate(
+        o.cmm == s.cmm && o.bp == s.bp && o.bp_off == s.bp_off && o.levels == s.levels,
+        mixes[i].name + " deterministic vs CMM_THREADS=1 re-run");
+    ok &= bench::gate(o.bp_off == o.cmm, mixes[i].name + " BP-neutered run bit-identical to cmm_a");
 
     const double h_cmm = hm(o.cmm);
     const double h_bp = hm(o.bp);
@@ -159,7 +155,7 @@ int main() {
     records << rec.str() << "\n";
     std::cout << rec.str() << "\n";
   }
-  ok &= gate(mean_bp >= mean_cmm, "mean hm_ipc: cmm_bp >= cmm_a");
+  ok &= bench::gate(mean_bp >= mean_cmm, "mean hm_ipc: cmm_bp >= cmm_a");
 
   const char* json_path = std::getenv("CMM_BW_JSON");
   if (json_path != nullptr && *json_path != '\0') {

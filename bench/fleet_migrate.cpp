@@ -5,9 +5,8 @@
 // tenant on the high ones — and gates on the properties the control
 // plane promises:
 //
-//   - K=0 compatibility: with the coordinator disabled, run_fleet is
-//     byte-identical to the flat runner regardless of the migration
-//     knobs (the PR-8 contract);
+//   - K=0 inertness: with the coordinator disabled, every migration
+//     knob is inert — run_fleet's output does not change with them;
 //   - the coordinator accepts at least one migration on the
 //     pathological rung, and every accepted record crosses domains;
 //   - migration pays: fleet hm_ipc is no worse than freezing the
@@ -34,38 +33,24 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "analysis/fleet.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "workloads/workload_mix.hpp"
 
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
-}  // namespace
-
 int main() {
   using namespace cmm;
   using analysis::FleetConfig;
   using analysis::FleetResult;
 
-  const auto domains = static_cast<unsigned>(env_u64("CMM_FLEET_DOMAINS", 8));
-  const auto cpd = static_cast<unsigned>(env_u64("CMM_FLEET_CORES_PER_DOMAIN", 4));
-  const auto scale = static_cast<unsigned>(env_u64("CMM_FLEET_SCALE", 32));
-  const Cycle cycles = env_u64("CMM_FLEET_CYCLES", 900'000);
-  const auto period = static_cast<unsigned>(env_u64("CMM_FLEET_PERIOD", 1));
-  const auto budget = static_cast<unsigned>(env_u64("CMM_FLEET_BUDGET", 2));
+  const auto domains = static_cast<unsigned>(bench::env_u64("CMM_FLEET_DOMAINS", 8));
+  const auto cpd = static_cast<unsigned>(bench::env_u64("CMM_FLEET_CORES_PER_DOMAIN", 4));
+  const auto scale = static_cast<unsigned>(bench::env_u64("CMM_FLEET_SCALE", 32));
+  const Cycle cycles = bench::env_u64("CMM_FLEET_CYCLES", 900'000);
+  const auto period = static_cast<unsigned>(bench::env_u64("CMM_FLEET_PERIOD", 1));
+  const auto budget = static_cast<unsigned>(bench::env_u64("CMM_FLEET_BUDGET", 2));
 
   FleetConfig cfg;
   cfg.params.machine = sim::MachineConfig::fleet(domains, cpd, scale);
@@ -97,21 +82,21 @@ int main() {
 
   bool ok = true;
 
-  // --- Gate 1: K=0 is the flat runner, byte for byte, with every
+  // --- Gate 1: at K=0 the output is byte-identical with every
   // migration knob at a non-default value.
   {
-    FleetConfig flat = cfg;
-    flat.coordinator_period = 0;
-    FleetConfig flat_knobs = flat;
-    flat_knobs.migration_budget = 7;
-    flat_knobs.migration_min_gain = 0.5;
-    flat_knobs.migration_cooldown = 9;
-    flat_knobs.migration_headroom = 0.1;
-    const FleetResult a = run_fleet(flat, mixes);
-    const FleetResult b = run_fleet(flat_knobs, mixes);
-    ok &= gate(a.merged == b.merged && a.metrics.json() == b.metrics.json() &&
-                   b.migrations.empty(),
-               "K=0 byte-identical to flat runner (knobs inert)");
+    FleetConfig k0 = cfg;
+    k0.coordinator_period = 0;
+    FleetConfig k0_knobs = k0;
+    k0_knobs.migration_budget = 7;
+    k0_knobs.migration_min_gain = 0.5;
+    k0_knobs.migration_cooldown = 9;
+    k0_knobs.migration_headroom = 0.1;
+    const FleetResult a = run_fleet(k0, mixes);
+    const FleetResult b = run_fleet(k0_knobs, mixes);
+    ok &= bench::gate(a.merged == b.merged && a.metrics.json() == b.metrics.json() &&
+                          b.migrations.empty(),
+                      "K=0 byte-identical under every migration knob (knobs inert)");
   }
 
   // --- Hierarchical runs: wide pool + serial + repeat, each with its
@@ -149,20 +134,21 @@ int main() {
   for (const auto& rec : hier.migrations) {
     if (rec.accepted && rec.from_core / cpd == rec.to_core / cpd) crosses = false;
   }
-  ok &= gate(crosses, "coordinator accepted >= 1 cross-domain migration");
+  ok &= bench::gate(crosses, "coordinator accepted >= 1 cross-domain migration");
 
   // --- Gate 3: migration pays against the frozen placement.
-  ok &= gate(hier.hm_ipc >= baseline.hm_ipc,
-             "fleet hm_ipc >= frozen-placement baseline");
+  ok &= bench::gate(hier.hm_ipc >= baseline.hm_ipc,
+                    "fleet hm_ipc >= frozen-placement baseline");
 
   // --- Gate 4: determinism (repeat + thread invariance), including
   // the coordinator's event bytes.
-  ok &= gate(hier.merged == hier_repeat.merged && trace_a == trace_b,
-             "repeat run bit-identical (results + trace)");
-  ok &= gate(hier.merged == hier_serial.merged &&
-                 hier.metrics.json() == hier_serial.metrics.json() && trace_a == trace_serial,
-             "invariant vs CMM_THREADS=1 (results + metrics + trace)");
-  ok &= gate(!trace_a.empty(), "coordinator trace captured migration events");
+  ok &= bench::gate(hier.merged == hier_repeat.merged && trace_a == trace_b,
+                    "repeat run bit-identical (results + trace)");
+  ok &= bench::gate(hier.merged == hier_serial.merged &&
+                        hier.metrics.json() == hier_serial.metrics.json() &&
+                        trace_a == trace_serial,
+                    "invariant vs CMM_THREADS=1 (results + metrics + trace)");
+  ok &= bench::gate(!trace_a.empty(), "coordinator trace captured migration events");
 
   const double gain = baseline.hm_ipc > 0.0 ? (hier.hm_ipc / baseline.hm_ipc - 1.0) * 100.0 : 0.0;
   std::ostringstream rec;

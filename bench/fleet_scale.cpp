@@ -28,17 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "analysis/fleet.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
 
 std::vector<unsigned> env_csv(const char* name, std::vector<unsigned> fallback) {
   const char* value = std::getenv(name);
@@ -52,11 +47,6 @@ std::vector<unsigned> env_csv(const char* name, std::vector<unsigned> fallback) 
   return out.empty() ? fallback : out;
 }
 
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
 }  // namespace
 
 int main() {
@@ -65,9 +55,9 @@ int main() {
   using analysis::FleetResult;
 
   const auto domains_ladder = env_csv("CMM_FLEET_DOMAINS", {2, 4, 8});
-  const auto cpd = static_cast<unsigned>(env_u64("CMM_FLEET_CORES_PER_DOMAIN", 8));
-  const auto scale = static_cast<unsigned>(env_u64("CMM_FLEET_SCALE", 32));
-  const Cycle cycles = env_u64("CMM_FLEET_CYCLES", 600'000);
+  const auto cpd = static_cast<unsigned>(bench::env_u64("CMM_FLEET_CORES_PER_DOMAIN", 8));
+  const auto scale = static_cast<unsigned>(bench::env_u64("CMM_FLEET_SCALE", 32));
+  const Cycle cycles = bench::env_u64("CMM_FLEET_CYCLES", 600'000);
 
   // One tenant per fleet core, drawn round-robin from a mixed-pressure
   // pool (streaming, latency-bound, cache-friendly).
@@ -108,14 +98,14 @@ int main() {
     const FleetResult c = run_fleet(cfg, mixes, serial);
 
     const std::string tag = std::to_string(domains) + "x" + std::to_string(cpd);
-    ok &= gate(a.merged == b.merged && a.metrics.json() == b.metrics.json(),
-               tag + " repeat run bit-identical");
-    ok &= gate(a.merged == c.merged && a.metrics.json() == c.metrics.json(),
-               tag + " invariant vs CMM_THREADS=1");
-    ok &= gate(a.total_churn_swaps() > 0, tag + " churn schedule fired");
+    ok &= bench::gate(a.merged == b.merged && a.metrics.json() == b.metrics.json(),
+                      tag + " repeat run bit-identical");
+    ok &= bench::gate(a.merged == c.merged && a.metrics.json() == c.metrics.json(),
+                      tag + " invariant vs CMM_THREADS=1");
+    ok &= bench::gate(a.total_churn_swaps() > 0, tag + " churn schedule fired");
     bool epochs_ok = true;
     for (const auto& shard : a.domains) epochs_ok &= shard.epochs_completed > 0;
-    ok &= gate(epochs_ok, tag + " every shard completed execution epochs");
+    ok &= bench::gate(epochs_ok, tag + " every shard completed execution epochs");
 
     // Throughput metric for the perf trajectory: simulated core-cycles
     // per wall second across the whole fleet run (higher is better;

@@ -10,30 +10,21 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "analysis/run_harness.hpp"
 #include "analysis/solo_cache.hpp"
 #include "common/parallel.hpp"
 #include "workloads/workload_mix.hpp"
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
-}  // namespace
 
 int main() {
   using namespace cmm;
 
   analysis::RunParams params;
   params.machine = sim::MachineConfig::scaled(
-      static_cast<unsigned>(env_u64("CMM_BENCH_SCALE", 32)));
+      static_cast<unsigned>(bench::env_u64("CMM_BENCH_SCALE", 32)));
   params.warmup_cycles = 200'000;
-  params.run_cycles = env_u64("CMM_BENCH_CYCLES", 1'000'000);
-  params.seed = env_u64("CMM_BENCH_SEED", 42);
+  params.run_cycles = bench::env_u64("CMM_BENCH_CYCLES", 1'000'000);
+  params.seed = bench::env_u64("CMM_BENCH_SEED", 42);
   params.epochs.execution_epoch = 200'000;
   params.epochs.sampling_interval = 10'000;
 

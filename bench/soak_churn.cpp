@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "analysis/solo_cache.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics_registry.hpp"
@@ -25,21 +26,10 @@
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
 double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   return std::strtod(value, nullptr);
-}
-
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
 }
 
 }  // namespace
@@ -48,15 +38,15 @@ int main() {
   using namespace cmm;
 
   service::SoakConfig cfg;
-  const auto scale = static_cast<unsigned>(env_u64("CMM_SOAK_SCALE", 32));
+  const auto scale = static_cast<unsigned>(bench::env_u64("CMM_SOAK_SCALE", 32));
   cfg.params.machine =
       scale <= 1 ? sim::MachineConfig::broadwell_ep() : sim::MachineConfig::scaled(scale);
   cfg.params.warmup_cycles = 200'000;
   cfg.params.run_cycles = 600'000;
   cfg.params.epochs.execution_epoch = 60'000;
   cfg.params.epochs.sampling_interval = 4'000;
-  cfg.ticks = env_u64("CMM_SOAK_TICKS", 220);
-  cfg.churn_seed = env_u64("CMM_SOAK_SEED", 7);
+  cfg.ticks = bench::env_u64("CMM_SOAK_TICKS", 220);
+  cfg.churn_seed = bench::env_u64("CMM_SOAK_SEED", 7);
   cfg.slo = env_double("CMM_SOAK_SLO", 0.20);
   cfg.health_capacity = 256;  // exercise the ring bound under load
 
@@ -97,15 +87,15 @@ int main() {
   std::cout << "summary: " << s1.json() << "\n\n";
 
   bool ok = true;
-  ok &= gate(s1 == s2, "repeat run summary bit-identical");
-  ok &= gate(trace1.str() == trace2.str(), "repeat run trace bytes identical");
-  ok &= gate(s1.ticks == cfg.ticks, "ran all requested ticks");
-  ok &= gate(s1.epochs >= 200, "completed >= 200 execution epochs");
-  ok &= gate(s1.attaches + s1.detaches >= 30, ">= 30 attach/detach churn events");
-  ok &= gate(s1.all_within_slo, "all surviving tenants within SLO at end");
+  ok &= bench::gate(s1 == s2, "repeat run summary bit-identical");
+  ok &= bench::gate(trace1.str() == trace2.str(), "repeat run trace bytes identical");
+  ok &= bench::gate(s1.ticks == cfg.ticks, "ran all requested ticks");
+  ok &= bench::gate(s1.epochs >= 200, "completed >= 200 execution epochs");
+  ok &= bench::gate(s1.attaches + s1.detaches >= 30, ">= 30 attach/detach churn events");
+  ok &= bench::gate(s1.all_within_slo, "all surviving tenants within SLO at end");
   if (fault_rate > 0.0) {
-    ok &= gate(s1.injected_faults > 0, "chaos schedule injected faults");
-    ok &= gate(s1.full_cycles >= 1, ">= 1 full degrade->recover ladder cycle");
+    ok &= bench::gate(s1.injected_faults > 0, "chaos schedule injected faults");
+    ok &= bench::gate(s1.full_cycles >= 1, ">= 1 full degrade->recover ladder cycle");
   }
 
   const char* trace_path = std::getenv("CMM_SOAK_TRACE");
