@@ -126,13 +126,9 @@ class EpochDriver {
   bool prefetch_available() const noexcept { return prefetch_ok_; }
   bool cat_available() const noexcept { return cat_ok_; }
   bool mba_available() const noexcept { return mba_ok_; }
-  bool core_prefetch_available(CoreId core) const { return core_prefetch_ok_.at(core); }
 
   /// Execution epochs completed so far (the trace epoch stamp).
   std::uint64_t epoch_index() const noexcept { return tctx_.epoch; }
-
-  /// Configuration most recently applied to hardware.
-  const ResourceConfig& current_config() const noexcept { return current_; }
 
   // ---- Service-mode hooks (used by service::ServiceDriver) ----
 
