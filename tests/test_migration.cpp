@@ -10,10 +10,10 @@
 //  - FleetCoordinator: pure function of telemetry (repeat-identical),
 //    strict-improvement acceptance, per-domain bandwidth feasibility,
 //    cooldown hysteresis against ping-pong, per-round budget.
-//  - Fleet runner: a hierarchical run that accepts no migrations is
-//    bit-identical to the flat runner on the same schedule; a
-//    pathological placement triggers real migrations; the whole thing
-//    is thread-count invariant and repeat-identical.
+//  - Fleet runner: a coordinated run that accepts no migrations is
+//    bit-identical to an uncoordinated run on the same slice schedule;
+//    a pathological placement triggers real migrations; the whole
+//    thing is thread-count invariant and repeat-identical.
 //  - ServiceDriver: admission drawn on a coordinator-shared ledger
 //    sees fleet-wide committed demand.
 #include <gtest/gtest.h>
@@ -388,18 +388,18 @@ std::vector<workloads::WorkloadMix> pathological_mixes() {
 
 TEST(FleetHierarchy, NoAcceptedMigrationMatchesFlatRunner) {
   // A coordinator that never accepts (impossible gain bar) must leave
-  // the shards bit-identical to the flat runner on the same slice
-  // schedule — planning alone has no side effects.
-  FleetConfig flat = fleet_cfg(2);
-  flat.churn_slice = 60'000;
-  flat.churn_per_mille = 0;       // slicing without swaps
-  flat.churn_catalog = {"mcf"};   // non-empty so both paths slice
-  FleetConfig hier = flat;
+  // the shards bit-identical to a run without a coordinator on the same
+  // slice schedule — planning alone has no side effects.
+  FleetConfig uncoordinated = fleet_cfg(2);
+  uncoordinated.churn_slice = 60'000;
+  uncoordinated.churn_per_mille = 0;      // slicing without swaps
+  uncoordinated.churn_catalog = {"mcf"};  // non-empty so both runs slice
+  FleetConfig hier = uncoordinated;
   hier.coordinator_period = 1;
   hier.migration_min_gain = 1e9;
 
   const auto mixes = pathological_mixes();
-  const FleetResult a = run_fleet(flat, mixes);
+  const FleetResult a = run_fleet(uncoordinated, mixes);
   const FleetResult b = run_fleet(hier, mixes);
   EXPECT_EQ(a.merged, b.merged);
   EXPECT_EQ(b.accepted_migrations(), 0u);
@@ -433,8 +433,8 @@ TEST(FleetHierarchy, PathologicalPlacementTriggersMigration) {
   // worse than freezing the pathological initial placement.
   FleetConfig frozen = cfg;
   frozen.coordinator_period = 0;
-  const FleetResult flat = run_fleet(frozen, mixes);
-  EXPECT_GE(hier.hm_ipc, flat.hm_ipc);
+  const FleetResult pinned = run_fleet(frozen, mixes);
+  EXPECT_GE(hier.hm_ipc, pinned.hm_ipc);
 }
 
 TEST(FleetHierarchy, MigrationRunsAreDeterministic) {
