@@ -181,8 +181,9 @@ FleetResult run_fleet(const FleetConfig& cfg,
   const Cycle slice_len = !churning && k == 0     ? run_cycles
                           : cfg.churn_slice != 0 ? cfg.churn_slice
                                                  : default_slice;
-  // One shard batch per coordinator round of k slices; k = 0 never
-  // plans, so the whole run is one round.
+  // One shard batch per coordinator round of k slices, not per slice:
+  // shards need to meet only where the coordinator plans. k = 0 never
+  // plans, so the whole run is one batch.
   const Cycle round_len = k == 0 ? run_cycles : k * slice_len;
 
   Cycle remaining = run_cycles;
@@ -194,6 +195,8 @@ FleetResult run_fleet(const FleetConfig& cfg,
         [&](std::size_t d) {
           Shard& s = shards[d];
           if (!s.driver) {
+            // First round: each shard is built by its own job, so set-up
+            // runs in parallel too.
             s.params = shard_params(cfg.params, static_cast<std::uint32_t>(d));
             s.params.epochs.metrics = &job_metrics[d];
             s.system = std::make_unique<sim::MulticoreSystem>(s.params.machine);
