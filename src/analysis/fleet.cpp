@@ -155,7 +155,23 @@ FleetResult run_fleet(const FleetConfig& cfg,
   FleetResult fleet;
   fleet.domains.resize(nd);
   std::vector<obs::MetricsRegistry> job_metrics(nd);
+  // Shards are built serially on the calling thread: built inside their
+  // first job, they would spread over the workers' malloc arenas and
+  // raise peak RSS.
   std::vector<Shard> shards(nd);
+  for (std::size_t d = 0; d < nd; ++d) {
+    Shard& s = shards[d];
+    s.params = shard_params(cfg.params, static_cast<std::uint32_t>(d));
+    s.params.epochs.metrics = &job_metrics[d];
+    s.system = std::make_unique<sim::MulticoreSystem>(s.params.machine);
+    workloads::attach_mix(*s.system, shard_mixes[d], s.params.seed);
+    s.policy = make_policy(cfg.policy, s.params.detector());
+    s.driver = std::make_unique<core::EpochDriver>(*s.system, *s.policy, s.params.epochs);
+    // A pure function of (churn_seed, domain), so the swap schedule is
+    // thread-count independent.
+    s.churn = Rng(cfg.churn_seed ^ (0x9E3779B97F4A7C15ULL * (d + 1)));
+    s.running = shard_mixes[d].benchmarks;
+  }
 
   CoordinatorConfig ccfg;
   ccfg.domains = static_cast<std::uint32_t>(nd);
@@ -194,20 +210,6 @@ FleetResult run_fleet(const FleetConfig& cfg,
         nd,
         [&](std::size_t d) {
           Shard& s = shards[d];
-          if (!s.driver) {
-            // First round: each shard is built by its own job, so set-up
-            // runs in parallel too.
-            s.params = shard_params(cfg.params, static_cast<std::uint32_t>(d));
-            s.params.epochs.metrics = &job_metrics[d];
-            s.system = std::make_unique<sim::MulticoreSystem>(s.params.machine);
-            workloads::attach_mix(*s.system, shard_mixes[d], s.params.seed);
-            s.policy = make_policy(cfg.policy, s.params.detector());
-            s.driver = std::make_unique<core::EpochDriver>(*s.system, *s.policy, s.params.epochs);
-            // A pure function of (churn_seed, domain), so the swap
-            // schedule is thread-count independent.
-            s.churn = Rng(cfg.churn_seed ^ (0x9E3779B97F4A7C15ULL * (d + 1)));
-            s.running = shard_mixes[d].benchmarks;
-          }
           Cycle left = round;
           do {
             const Cycle step = std::min(slice_len, left);
