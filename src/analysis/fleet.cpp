@@ -122,10 +122,9 @@ std::vector<workloads::WorkloadMix> plan_placement(const std::vector<std::string
 
 namespace {
 
-/// One domain's persistent shard. It owns every mutable object its jobs
-/// touch: system, policy, driver, churn RNG (and the metrics registry
-/// its params point at). Nothing is shared across shards, which is the
-/// whole determinism story.
+/// One domain's persistent shard: system, policy, driver, churn RNG and
+/// resident tenants. A shard job touches only its own shard and metrics
+/// registry, never another's, which is the whole determinism story.
 struct Shard {
   RunParams params;
   std::unique_ptr<sim::MulticoreSystem> system;
