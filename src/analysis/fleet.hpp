@@ -16,9 +16,9 @@
 // the coordinator acts only between slices, serially, on telemetry
 // that is itself a pure function of the seeded simulation. Every shard
 // job owns all of its mutable state, so a fleet run is bit-identical
-// at any CMM_THREADS, and a coordinator-free shard is bit-identical to
-// a standalone run_mix() on the domain's machine — the properties
-// test_fleet.cpp and test_migration.cpp pin.
+// at any CMM_THREADS, and a shard with neither churn nor coordinator
+// is bit-identical to a standalone run_mix() on the domain's machine —
+// the properties test_fleet.cpp and test_migration.cpp pin.
 #pragma once
 
 #include <cstddef>
