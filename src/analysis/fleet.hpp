@@ -1,6 +1,6 @@
 // Sharded fleet runner: many-core experiments over multi-LLC-domain
 // machines (MachineConfig::num_llc_domains > 1), one persistent
-// EpochDriver shard per domain on the PR-1 thread pool, under a
+// EpochDriver shard per domain on the shared thread pool, under a
 // two-level control hierarchy: the per-domain drivers are level one,
 // and a FleetCoordinator (fleet_coordinator.hpp) running every
 // coordinator_period slices is level two, planning cross-domain tenant
